@@ -44,7 +44,9 @@ pub use engine::{
     ENGINE_ORIGIN,
 };
 pub use fiber::{fiber_yield, in_fiber, Fiber, ForcedUnwind, DEFAULT_STACK_SIZE};
-pub use flow::{FlowId, FlowNet, FlowSpec, ResourceId, ResourceKind, ResourceStats};
+pub use flow::{
+    FlowId, FlowNet, FlowSpec, ResourceId, ResourceKind, ResourceStats, SolverCounters,
+};
 pub use profile::MachineProfile;
 pub use time::{SimDur, SimTime};
 pub use topology::{ClusterResources, ClusterSpec, Fabric, GroupPlacement, NodeMap};
