@@ -261,7 +261,8 @@ impl RtComm {
                 site: Some(site),
             });
         }
-        crate::window::rma_metric(&sh, self.agent.rank, "win_create", local.len());
+        sh.metrics
+            .record_rma(self.agent.rank, "win_create", local.len());
         let core = {
             let mut st = sh.state.lock();
             st.windows

@@ -12,7 +12,9 @@
 //! One deliberate exception: [`crate::shared::RtShared::plan_cache`] stays
 //! a `parking_lot::Mutex` unconditionally, because its type is pinned by
 //! `ovcomm_simmpi::compile_plans`'s signature (shared verbatim with the
-//! simulator backend) and it is never on a loom-checked path.
+//! simulator backend) and it is never on a loom-checked path. The progress
+//! pool's free list (`crate::progress::Pool`) is likewise a plain
+//! `parking_lot::Mutex`, off every loom-checked path.
 
 #[cfg(loom)]
 pub use loom::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};

@@ -317,18 +317,6 @@ impl<G> WinCore<G> {
 /// waits.
 pub(crate) type RtWinCore = WinCore<Request<()>>;
 
-/// Bump the on-demand `rma.*` counters: one call of `op` moving `bytes`.
-/// Same metric names and labels as the simulator backend, so sim-vs-rt
-/// reports join RMA records directly.
-pub(crate) fn rma_metric(sh: &RtShared, rank: u32, op: &str, bytes: usize) {
-    let reg = sh.metrics.registry();
-    let labels = [("op", op.to_string()), ("rank", rank.to_string())];
-    reg.counter("rma.calls", &labels).inc();
-    if bytes > 0 {
-        reg.counter("rma.bytes", &labels).add(bytes as u64);
-    }
-}
-
 /// Account one origin-driven transfer of `n` bytes in the run's traffic
 /// counters (same inter/intra split as the simulator).
 fn account_transfer(sh: &RtShared, src: u32, dst: u32, n: usize) {
@@ -419,7 +407,7 @@ impl RtWin {
         } else {
             "put"
         };
-        rma_metric(&sh, agent.rank, opname, n);
+        sh.metrics.record_rma(agent.rank, opname, n);
         if let Some(v) = sh.verify.as_ref() {
             v.record(VEvent::RmaOp {
                 agent: agent.id,
@@ -465,7 +453,7 @@ impl RtWin {
         let sh = self.shared().clone();
         let agent = &self.comm.agent;
         let t0 = sh.now();
-        rma_metric(&sh, agent.rank, "get", len);
+        sh.metrics.record_rma(agent.rank, "get", len);
         let req = sh.new_req::<Payload>(|id| VEvent::RmaOp {
             agent: agent.id,
             rank: agent.rank,
@@ -508,7 +496,7 @@ impl RtWin {
         let sh = self.shared().clone();
         let agent = &self.comm.agent;
         let t0 = sh.now();
-        rma_metric(&sh, agent.rank, "fence", 0);
+        sh.metrics.record_rma(agent.rank, "fence", 0);
         self.comm.barrier();
         self.core.apply_target(self.rank());
         self.comm.barrier();
@@ -536,7 +524,7 @@ impl RtWin {
         let sh = self.shared().clone();
         let agent = &self.comm.agent;
         let t0 = sh.now();
-        rma_metric(&sh, agent.rank, "lock", 0);
+        sh.metrics.record_rma(agent.rank, "lock", 0);
         let me = self.rank() as u32;
         // Internal grant handle: untracked, invisible to leak analysis.
         let grant: Request<()> = Request::new();
@@ -569,7 +557,7 @@ impl RtWin {
         let sh = self.shared().clone();
         let agent = &self.comm.agent;
         let t0 = sh.now();
-        rma_metric(&sh, agent.rank, "unlock", 0);
+        sh.metrics.record_rma(agent.rank, "unlock", 0);
         let me = self.rank() as u32;
         let (_bytes, grant) = self.core.unlock(target, me);
         // The handoff completes outside the core's mutex, like every
@@ -605,7 +593,7 @@ impl RtWin {
         let site: Site = std::panic::Location::caller();
         let sh = self.shared().clone();
         let agent = &self.comm.agent;
-        rma_metric(&sh, agent.rank, "win_free", 0);
+        sh.metrics.record_rma(agent.rank, "win_free", 0);
         if let Some(v) = sh.verify.as_ref() {
             v.record(VEvent::WinFree {
                 agent: agent.id,

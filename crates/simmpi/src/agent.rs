@@ -1,8 +1,8 @@
 //! Agents: the execution identities that post events and block on requests.
 //!
-//! Every rank thread owns an agent, and every in-flight nonblocking
-//! collective runs on its own *operation agent* (a progress-pool worker with
-//! a deterministic actor id and its own virtual clock starting at the post
+//! Every rank fiber owns an agent, and every in-flight nonblocking
+//! collective runs on its own *operation agent* (a fiber with a
+//! deterministic actor id and its own virtual clock starting at the post
 //! time) — this is how MPI-3 nonblocking collectives make asynchronous
 //! progress in the simulation.
 
@@ -39,7 +39,7 @@ pub(crate) struct Agent {
 }
 
 impl Agent {
-    /// Agent for a rank thread.
+    /// Agent for a rank fiber.
     pub fn new_rank(rank: u32, cell: Arc<ParkCell>, uni: Arc<UniShared>) -> Agent {
         Agent {
             id: rank,

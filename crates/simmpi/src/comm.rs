@@ -523,7 +523,7 @@ impl Comm {
     }
 
     // ---------------------------------------------------------------
-    // Blocking collectives (run inline on the rank thread)
+    // Blocking collectives (run inline on the rank fiber)
     // ---------------------------------------------------------------
 
     /// Blocking broadcast from `root`. `data` must be `Some` at the root;
@@ -921,10 +921,9 @@ impl Comm {
         let uni2 = uni.clone();
         let cell2 = cell.clone();
         uni.metrics.pool_occupancy.inc();
-        // The op body is mode-agnostic: `await_release` blocks a pool
-        // thread or consumes the fiber's deposited release time, and the
-        // engine releases the op at its post time `start` either way.
-        let body: Box<dyn FnOnce() + Send> = Box::new(move || {
+        // The op runs on its own fiber, which the engine first releases at
+        // the post time `start`.
+        let body = move || {
             struct Finish {
                 uni: Arc<crate::universe::UniShared>,
                 id: u32,
@@ -980,21 +979,12 @@ impl Comm {
                     uni2.record_op_panic(rank, msg);
                 }
             }
-        });
+        };
         // Register before returning so the engine cannot advance past the
-        // post time before the op actor starts. The op becomes ready at
-        // its post time, which keeps the release order — and therefore the
-        // whole simulation — identical across execution modes.
-        match uni.exec {
-            crate::universe::ExecMode::EventDriven => {
-                let fiber = ovcomm_simnet::Fiber::new(uni.fiber_stack, body);
-                uni.engine.register_fiber_at(id, fiber, cell, start);
-            }
-            crate::universe::ExecMode::Threads => {
-                uni.engine.register_actor_at(id, cell, start);
-                uni.pool.submit(body);
-            }
-        }
+        // post time before the op actor starts; it becomes ready at its
+        // post time, in `(time, actor id)` order with every other actor.
+        let fiber = ovcomm_simnet::Fiber::new(uni.fiber_stack, body);
+        uni.engine.register_fiber_at(id, fiber, cell, start);
         req
     }
 }

@@ -2,11 +2,10 @@
 //!
 //! An in-process MPI-like message-passing library running over the
 //! `ovcomm-simnet` virtual-time network simulator. Every rank is a
-//! stackful fiber (or, for differential testing, an OS thread — see
-//! [`ExecMode`]) that blocks inside communication calls — rank code reads
+//! stackful fiber that blocks inside communication calls — rank code reads
 //! exactly like MPI code — while virtual time is accounted by the
-//! simulator. The fiber mode runs tens of thousands of ranks in one
-//! process on one scheduler thread.
+//! simulator. One scheduler thread resumes the fibers, so tens of
+//! thousands of ranks run in one process.
 //!
 //! Implemented surface (what the paper's algorithms need, §III–§IV):
 //!
@@ -22,8 +21,9 @@
 //!   [`CollSelector`](collsel::CollSelector), statically linted, and run
 //!   by one shared plan executor;
 //! * MPI-3 nonblocking collectives: `ibcast`, `ireduce`, `iallreduce`,
-//!   `ibarrier` — each runs on its own progress actor, so posted operations
-//!   make *asynchronous* progress and genuinely overlap;
+//!   `ibarrier` — each runs on its own operation actor (a fiber released at
+//!   its post time), so posted operations make *asynchronous* progress and
+//!   genuinely overlap;
 //! * requests with `wait`/`test`, deterministic virtual timing, traffic
 //!   statistics and Fig-6-style span tracing.
 //!
@@ -40,7 +40,6 @@ mod agent;
 mod coll;
 mod metrics;
 mod p2p;
-mod progress;
 mod state;
 
 pub mod rma;
@@ -57,8 +56,8 @@ pub use comm::Comm;
 pub use planexec::{execute_plan, PlanIo};
 
 // Hidden exports for the `ovcomm-rt` wall-clock backend, which shares the
-// simulator's request type, plan compilation, split grouping, progress
-// pool, and metric shapes so both backends present one surface.
+// simulator's request type, plan compilation, split grouping and metric
+// shapes so both backends present one surface.
 #[doc(hidden)]
 pub use comm::compile_plans;
 #[doc(hidden)]
@@ -67,10 +66,8 @@ pub use ovcomm_verify::plan;
 pub use ovcomm_verify::plan::CollAlgo;
 pub use ovcomm_verify::{CollKind, DeadlockReport, Finding, Severity, VerifyMode, VerifyReport};
 pub use payload::Payload;
-#[doc(hidden)]
-pub use progress::{Job, Pool};
 pub use request::Request;
 pub use rma::SimWin;
 #[doc(hidden)]
 pub use state::SplitResult;
-pub use universe::{actor_name, run, ExecMode, RankCtx, SimConfig, SimError, SimOutput};
+pub use universe::{actor_name, run, RankCtx, SimConfig, SimError, SimOutput};

@@ -101,9 +101,11 @@ struct RankMetrics {
 pub struct SimMetrics {
     registry: MetricsRegistry,
     ranks: Vec<RankMetrics>,
-    /// Jobs currently running on progress workers (≈ busy workers).
+    /// Nonblocking operations currently in flight (simulator: live
+    /// operation fibers; rt: jobs on progress workers).
     pub pool_occupancy: Gauge,
-    /// Progress workers ever spawned.
+    /// Progress workers ever spawned. Set by the rt backend; the simulator
+    /// runs operations on fibers and leaves it at 0.
     pub pool_spawned: Gauge,
 }
 
@@ -181,6 +183,20 @@ impl SimMetrics {
     pub fn spans_clamped(&self, n: u64) {
         if n > 0 {
             self.registry.counter("trace.spans_clamped", &[]).add(n);
+        }
+    }
+
+    /// Count one one-sided call `op` (`"put"`, `"fence"`, …) by `rank`
+    /// moving `bytes` payload bytes, in `rma.calls` and (when `bytes > 0`)
+    /// `rma.bytes`. Registers on demand, so a run without RMA carries no
+    /// `rma.*` metrics. Shared by both backends' windows.
+    pub fn record_rma(&self, rank: u32, op: &str, bytes: usize) {
+        let labels = [("op", op.to_string()), ("rank", rank.to_string())];
+        self.registry.counter("rma.calls", &labels).inc();
+        if bytes > 0 {
+            self.registry
+                .counter("rma.bytes", &labels)
+                .add(bytes as u64);
         }
     }
 

@@ -39,7 +39,6 @@ use crate::comm::Comm;
 use crate::p2p::path_params;
 use crate::payload::Payload;
 use crate::request::{ReqMeta, Request};
-use crate::universe::UniShared;
 
 /// Committed bytes of one rank's exposed segment.
 enum Seg {
@@ -156,16 +155,6 @@ fn apply_op(seg: &mut Seg, op: &StagedOp) {
         }
     } else {
         v[op.offset..end].copy_from_slice(b);
-    }
-}
-
-/// Bump the on-demand `rma.*` counters: one call of `op` moving `bytes`.
-fn rma_metric(uni: &UniShared, rank: u32, op: &str, bytes: usize) {
-    let reg = uni.metrics.registry();
-    let labels = [("op", op.to_string()), ("rank", rank.to_string())];
-    reg.counter("rma.calls", &labels).inc();
-    if bytes > 0 {
-        reg.counter("rma.bytes", &labels).add(bytes as u64);
     }
 }
 
@@ -293,7 +282,8 @@ impl Comm {
                 site: Some(site),
             });
         }
-        rma_metric(&uni, self.agent.rank, "win_create", local.len());
+        uni.metrics
+            .record_rma(self.agent.rank, "win_create", local.len());
         let data = {
             let mut st = uni.state.lock();
             st.windows
@@ -390,7 +380,7 @@ impl SimWin {
         } else {
             "put"
         };
-        rma_metric(&uni, agent.rank, opname, n);
+        uni.metrics.record_rma(agent.rank, opname, n);
         if let Some(v) = uni.verify.as_ref() {
             v.record(VEvent::RmaOp {
                 agent: agent.id,
@@ -449,7 +439,7 @@ impl SimWin {
         let uni = agent.uni.clone();
         let t0 = agent.now();
         agent.advance(uni.profile.small_post);
-        rma_metric(&uni, agent.rank, "get", len);
+        uni.metrics.record_rma(agent.rank, "get", len);
         let (req, rid) = match uni.verify.as_ref() {
             Some(v) => {
                 let id = v.next_req_id();
@@ -521,7 +511,7 @@ impl SimWin {
         let agent = &self.comm.agent;
         let uni = agent.uni.clone();
         let t0 = agent.now();
-        rma_metric(&uni, agent.rank, "fence", 0);
+        uni.metrics.record_rma(agent.rank, "fence", 0);
         self.drain_pending();
         self.comm.barrier();
         let applied = self.apply_own_segment();
@@ -553,7 +543,7 @@ impl SimWin {
         let agent = &self.comm.agent;
         let uni = agent.uni.clone();
         let t0 = agent.now();
-        rma_metric(&uni, agent.rank, "lock", 0);
+        uni.metrics.record_rma(agent.rank, "lock", 0);
         let me = self.rank() as u32;
         let origin_w = self.comm.info.ranks[self.rank()];
         let target_w = self.comm.info.ranks[target];
@@ -604,7 +594,7 @@ impl SimWin {
         let agent = &self.comm.agent;
         let uni = agent.uni.clone();
         let t0 = agent.now();
-        rma_metric(&uni, agent.rank, "unlock", 0);
+        uni.metrics.record_rma(agent.rank, "unlock", 0);
         self.drain_pending();
         let me = self.rank() as u32;
         let target_w = self.comm.info.ranks[target];
@@ -688,7 +678,7 @@ impl SimWin {
         let site: Site = std::panic::Location::caller();
         let agent = &self.comm.agent;
         let uni = agent.uni.clone();
-        rma_metric(&uni, agent.rank, "win_free", 0);
+        uni.metrics.record_rma(agent.rank, "win_free", 0);
         if let Some(v) = uni.verify.as_ref() {
             v.record(VEvent::WinFree {
                 agent: agent.id,

@@ -2,7 +2,7 @@
 //! split registries, and traffic statistics.
 //!
 //! All mutations happen either under the single state lock from engine
-//! callbacks (message injection, arrival, pairing) or from rank threads
+//! callbacks (message injection, arrival, pairing) or from rank fibers
 //! (context allocation, split deposits). Matching follows MPI's
 //! non-overtaking rule per `(context, source, destination, tag)` key:
 //! entries are FIFO queues, so two messages on the same envelope can never

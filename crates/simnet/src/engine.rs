@@ -1,11 +1,11 @@
 //! The discrete-event engine with serialized actors.
 //!
-//! Actor (rank) code runs either on OS threads that *block* in communication
-//! calls (thread mode, exactly like an MPI program) or as stackful
-//! [`Fiber`]s that *yield* at the same points (event-driven mode, which
-//! scales to tens of thousands of ranks on one core). Either way the engine
-//! serializes execution: at any moment exactly one of {an actor, an event
-//! callback} runs. Virtual time advances only inside the scheduler loop.
+//! Actor (rank) code runs as stackful [`Fiber`]s that *yield* inside
+//! communication calls, so rank code still reads like a blocking MPI
+//! program while tens of thousands of ranks share one OS thread. The
+//! scheduler resumes fibers inline: at any moment exactly one of {an actor,
+//! an event callback} runs. Virtual time advances only inside the scheduler
+//! loop.
 //!
 //! # Determinism
 //!
@@ -22,27 +22,28 @@
 //! wins a time tie against an event. Because actors may only schedule events
 //! at or after their own local clocks and wakes never target the past, the
 //! executed sequence — and therefore every virtual timestamp, trace span
-//! order, and verify log — is identical across runs and independent of OS
-//! thread scheduling.
+//! order, and verify log — is identical across runs.
 //!
 //! # Actor protocol
 //!
-//! An actor is registered with [`Engine::register_actor`] (threads) or
-//! [`Engine::register_fiber_at`] (fibers) together with its [`ParkCell`].
-//! The actor's body must call [`Engine::await_release`] on that cell before
-//! touching anything else, park only via [`Engine::park`] **on its own
-//! registered cell**, and call [`Engine::actor_finished`] when done
-//! (normally via a drop guard). Wakes directed at a registered cell are
-//! routed through the scheduler's ready queue; waking an unregistered cell
-//! would release a thread outside the serialization discipline, so all
-//! cells parked on must be registered.
+//! An actor is a [`Fiber`] registered with [`Engine::register_fiber_at`]
+//! together with its [`ParkCell`]. The fiber's body must call
+//! [`Engine::await_release`] on that cell before touching anything else,
+//! park only via [`Engine::park`] **on its own registered cell**, and call
+//! [`Engine::actor_finished`] when done (normally via a drop guard). Wakes
+//! directed at a registered cell are routed through the scheduler's ready
+//! queue; a wake of the running actor itself is deposited on its cell and
+//! consumed by its next `park` without a scheduler round-trip. Calling
+//! `park` or `await_release` outside a fiber is a protocol violation and
+//! panics: no scheduler turn could ever resume a plain thread.
 //!
 //! # Lock ordering
 //!
 //! `Engine`'s core mutex and each [`ParkCell`]'s mutex are never held
 //! simultaneously. Higher layers (simmpi) take their own state lock *before*
-//! calling into the engine; engine callbacks and fiber bodies run with the
-//! core lock released.
+//! calling into the engine. The scheduler releases the core lock before it
+//! runs an event callback or resumes a fiber, so both may call back into
+//! the engine.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -125,15 +126,6 @@ pub struct NetStats {
     pub max_queue_delay_secs: f64,
 }
 
-/// How a parked actor was released.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WakeKind {
-    /// Normal wake; the actor's clock becomes the wake time.
-    Normal,
-    /// The simulation deadlocked: no runnable actor and no pending event.
-    Deadlock,
-}
-
 #[derive(Default)]
 struct CellState {
     pending: Option<SimTime>,
@@ -142,6 +134,7 @@ struct CellState {
 
 /// Per-actor parking spot. An actor parks on its cell inside blocking
 /// calls; the scheduler releases it at its turn in `(time, id)` order.
+/// The condvar serves only the engine-free `_direct` methods.
 pub struct ParkCell {
     state: Mutex<CellState>,
     cv: Condvar,
@@ -163,20 +156,6 @@ impl ParkCell {
             state: Mutex::new(CellState::default()),
             cv: Condvar::new(),
             id: AtomicU32::new(ACTOR_NONE),
-        }
-    }
-
-    /// Block the calling thread until woken; returns the wake time.
-    fn wait(&self) -> (SimTime, WakeKind) {
-        let mut st = self.state.lock();
-        loop {
-            if st.deadlock {
-                return (SimTime::ZERO, WakeKind::Deadlock);
-            }
-            if let Some(t) = st.pending.take() {
-                return (t, WakeKind::Normal);
-            }
-            self.cv.wait(&mut st);
         }
     }
 
@@ -232,24 +211,6 @@ impl ParkCell {
     }
 }
 
-/// How an actor's suspended continuation is stored.
-enum ActorSlot {
-    /// Actor body runs on an OS thread parked on the cell.
-    Thread(Arc<ParkCell>),
-    /// Actor body is a fiber; `None` while the fiber is running (the
-    /// scheduler takes it out to resume it outside the core lock).
-    Fiber(Option<Fiber>, Arc<ParkCell>),
-}
-
-impl ActorSlot {
-    fn cell(&self) -> &Arc<ParkCell> {
-        match self {
-            ActorSlot::Thread(c) => c,
-            ActorSlot::Fiber(_, c) => c,
-        }
-    }
-}
-
 struct Core {
     now: SimTime,
     queue: BTreeMap<EventKey, Slot>,
@@ -258,12 +219,16 @@ struct Core {
     flows: FlowNet,
     flow_meta: BTreeMap<FlowId, FlowMeta>,
     flows_settled_at: SimTime,
-    actors: BTreeMap<u32, ActorSlot>,
+    /// Registered actors: the suspended fiber (`None` while it runs — the
+    /// scheduler takes it out to resume it outside the core lock) and its
+    /// cell.
+    actors: BTreeMap<u32, (Option<Fiber>, Arc<ParkCell>)>,
     /// Actors awaiting release, ordered by `(wake time, id)`.
     ready: BTreeSet<(SimTime, u32)>,
     /// Pending release time per ready actor (wakes merge to the max).
     ready_time: BTreeMap<u32, SimTime>,
-    /// The actor currently running, if any. While set, the scheduler waits.
+    /// The actor currently running, if any. [`Engine::wake`] uses it to
+    /// tell a self-wake from a wake that must go through the ready queue.
     current: Option<u32>,
     trace: Option<Trace>,
     completed_flows: u64,
@@ -276,14 +241,16 @@ struct Core {
 }
 
 /// The virtual-time discrete-event engine. Shared by reference between the
-/// scheduler thread and all actor threads/fibers.
+/// scheduler and all actor fibers.
 pub struct Engine {
     core: Mutex<Core>,
-    cv: Condvar,
 }
 
 const DEADLOCK_MSG: &str = "simulation deadlock: every rank is blocked and no event is pending \
                             (mismatched send/recv or collective call order?)";
+
+const OUTSIDE_FIBER_MSG: &str = "Engine::park/await_release called outside a fiber: actors must \
+                                 be fibers registered with Engine::register_fiber_at";
 
 impl Engine {
     /// New engine at virtual time zero with no resources or actors.
@@ -309,7 +276,6 @@ impl Engine {
                 deadlock_actors: Vec::new(),
                 stopped: false,
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -403,35 +369,19 @@ impl Engine {
         self.core.lock().deadlock_actors.clone()
     }
 
-    /// Register a thread-backed actor, ready to be released at time zero.
-    /// The actor's body must call [`Engine::await_release`] on `cell` before
-    /// doing anything else.
-    pub fn register_actor(&self, id: u32, cell: Arc<ParkCell>) {
-        self.register_actor_at(id, cell, SimTime::ZERO);
-    }
-
-    /// Register a thread-backed actor that becomes ready at `ready_at`
-    /// (e.g. a collective-op job released at its post time).
-    pub fn register_actor_at(&self, id: u32, cell: Arc<ParkCell>, ready_at: SimTime) {
-        self.register_slot(id, ActorSlot::Thread(cell), ready_at);
-    }
-
-    /// Register a fiber-backed actor that becomes ready at `ready_at`. The
+    /// Register a fiber-backed actor that becomes ready at `ready_at` (a
+    /// rank at time zero, a nonblocking operation at its post time). The
     /// scheduler resumes the fiber at its turns; the fiber's body must call
     /// [`Engine::await_release`] on `cell` first, park only via
     /// [`Engine::park`] on `cell`, and call [`Engine::actor_finished`]
     /// before returning.
     pub fn register_fiber_at(&self, id: u32, fiber: Fiber, cell: Arc<ParkCell>, ready_at: SimTime) {
-        self.register_slot(id, ActorSlot::Fiber(Some(fiber), cell), ready_at);
-    }
-
-    fn register_slot(&self, id: u32, slot: ActorSlot, ready_at: SimTime) {
         assert!(id != ACTOR_NONE, "actor id {id} is reserved");
-        slot.cell().id.store(id, Ordering::Relaxed);
+        cell.id.store(id, Ordering::Relaxed);
         let mut core = self.core.lock();
         debug_assert!(ready_at >= core.now, "actor {id} registered in the past");
         assert!(
-            core.actors.insert(id, slot).is_none(),
+            core.actors.insert(id, (Some(fiber), cell)).is_none(),
             "actor {id} registered twice"
         );
         core.live += 1;
@@ -452,24 +402,15 @@ impl Engine {
         }
         if core.current == Some(id) {
             core.current = None;
-            self.cv.notify_all();
         }
     }
 
-    /// Block the calling actor until the scheduler releases it for the
-    /// first time; returns the release time. Must be the first engine call
-    /// an actor's body makes (for fibers it just consumes the deposited
-    /// release time).
+    /// Return the actor's first release time, deposited by the scheduler
+    /// before it resumed the fiber. Must be the first engine call an
+    /// actor's body makes. Panics outside a fiber.
     pub fn await_release(&self, cell: &ParkCell) -> SimTime {
-        if fiber::in_fiber() {
-            // The scheduler deposits the release time before resuming.
-            cell.state.lock().pending.take().unwrap_or(SimTime::ZERO)
-        } else {
-            match cell.wait() {
-                (t, WakeKind::Normal) => t,
-                (_, WakeKind::Deadlock) => panic!("{DEADLOCK_MSG}"),
-            }
-        }
+        assert!(fiber::in_fiber(), "{OUTSIDE_FIBER_MSG}");
+        cell.state.lock().pending.take().unwrap_or(SimTime::ZERO)
     }
 
     /// Schedule an action at an explicit key. Panics on key collision —
@@ -599,10 +540,11 @@ impl Engine {
         cell.state.lock().pending.take()
     }
 
-    /// Declare the calling actor blocked and sleep until the scheduler
-    /// releases it. Returns the wake time; panics with a diagnostic if the
-    /// simulation deadlocked. Must be called on the actor's own registered
-    /// cell.
+    /// Declare the calling actor blocked and yield to the scheduler until
+    /// it releases the actor. Returns the wake time; panics with a
+    /// diagnostic if the simulation deadlocked, or if called outside a
+    /// fiber with no wake pending. Must be called on the actor's own
+    /// registered cell.
     pub fn park(&self, cell: &ParkCell) -> SimTime {
         // A wake deposited while we were running (self-wake): consume it
         // without a scheduler round-trip — the actor just keeps running,
@@ -610,55 +552,42 @@ impl Engine {
         if let Some(t) = cell.state.lock().pending.take() {
             return t;
         }
-        if fiber::in_fiber() {
-            {
-                let mut core = self.core.lock();
-                debug_assert_eq!(
-                    core.current,
-                    Some(cell.id.load(Ordering::Relaxed)),
-                    "fiber parking on a cell it is not registered under"
-                );
-                core.current = None;
-            }
-            // The scheduler is blocked inside `Fiber::resume`; yielding
-            // returns control to it. It resumes us with a deposited wake
-            // (or the deadlock flag).
-            fiber::fiber_yield();
-            let mut st = cell.state.lock();
-            if st.deadlock {
+        assert!(fiber::in_fiber(), "{OUTSIDE_FIBER_MSG}");
+        {
+            let mut core = self.core.lock();
+            debug_assert_eq!(
+                core.current,
+                Some(cell.id.load(Ordering::Relaxed)),
+                "fiber parking on a cell it is not registered under"
+            );
+            core.current = None;
+        }
+        // The scheduler is blocked inside `Fiber::resume`; yielding returns
+        // control to it. It resumes us with a deposited wake (or the
+        // deadlock flag).
+        fiber::fiber_yield();
+        let mut st = cell.state.lock();
+        if st.deadlock {
+            drop(st);
+            panic!("{DEADLOCK_MSG}");
+        }
+        match st.pending.take() {
+            Some(t) => t,
+            None => {
                 drop(st);
-                panic!("{DEADLOCK_MSG}");
-            }
-            match st.pending.take() {
-                Some(t) => t,
-                None => {
-                    drop(st);
-                    panic!("fiber resumed without a pending wake");
-                }
-            }
-        } else {
-            {
-                let mut core = self.core.lock();
-                core.current = None;
-                self.cv.notify_all();
-            }
-            match cell.wait() {
-                (t, WakeKind::Normal) => t,
-                (_, WakeKind::Deadlock) => panic!("{DEADLOCK_MSG}"),
+                panic!("fiber resumed without a pending wake");
             }
         }
     }
 
-    /// Run the scheduler until all actors have finished (or deadlock).
-    /// Typically run on the caller's thread while thread-actors block and
-    /// fiber-actors are resumed inline.
+    /// Run the scheduler on the caller's thread until all actors have
+    /// finished (or deadlock), resuming actor fibers inline.
     // The `expect`s below assert queue/flow-table agreement — invariants
     // whose violation means the engine itself is broken, not user error.
     #[allow(clippy::expect_used)]
     pub fn run_loop(&self) {
         enum Work {
             Event(Action),
-            ReleaseThread(Arc<ParkCell>, SimTime),
             RunFiber(u32, Fiber, Arc<ParkCell>, SimTime),
             Deadlock(Vec<Arc<ParkCell>>, Vec<Fiber>),
             Return,
@@ -666,21 +595,15 @@ impl Engine {
         loop {
             let work: Work = {
                 let mut core = self.core.lock();
-                loop {
-                    if core.stopped {
-                        break Work::Return;
-                    }
-                    if core.current.is_some() {
-                        // A thread-actor is running; wait for it to park or
-                        // finish. (Fiber-actors never leave `current` set
-                        // across a scheduler iteration.)
-                        self.cv.wait(&mut core);
-                        continue;
-                    }
-                    if core.live == 0 {
-                        core.stopped = true;
-                        break Work::Return;
-                    }
+                // Fibers never leave `current` set across a scheduler
+                // iteration: they clear it when they park or finish.
+                debug_assert!(core.current.is_none(), "an actor still holds the turn");
+                if core.stopped {
+                    Work::Return
+                } else if core.live == 0 {
+                    core.stopped = true;
+                    Work::Return
+                } else {
                     let next_actor = core.ready.first().copied();
                     let next_event = core.queue.keys().next().copied();
                     match (next_actor, next_event) {
@@ -691,15 +614,11 @@ impl Engine {
                             core.stopped = true;
                             let mut cells = Vec::new();
                             let mut fibers = Vec::new();
-                            for slot in core.actors.values_mut() {
-                                cells.push(slot.cell().clone());
-                                if let ActorSlot::Fiber(f, _) = slot {
-                                    if let Some(f) = f.take() {
-                                        fibers.push(f);
-                                    }
-                                }
+                            for (fiber, cell) in core.actors.values_mut() {
+                                cells.push(cell.clone());
+                                fibers.extend(fiber.take());
                             }
-                            break Work::Deadlock(cells, fibers);
+                            Work::Deadlock(cells, fibers)
                         }
                         (Some((ta, id)), ev) if ev.is_none_or(|k| ta <= k.time) => {
                             // Release the earliest ready actor; actors win
@@ -710,15 +629,10 @@ impl Engine {
                                 core.now = ta;
                             }
                             core.current = Some(id);
-                            match core.actors.get_mut(&id).expect("ready actor missing") {
-                                ActorSlot::Thread(cell) => {
-                                    break Work::ReleaseThread(cell.clone(), ta);
-                                }
-                                ActorSlot::Fiber(fiber, cell) => {
-                                    let fiber = fiber.take().expect("fiber already running");
-                                    break Work::RunFiber(id, fiber, cell.clone(), ta);
-                                }
-                            }
+                            let (fiber, cell) =
+                                core.actors.get_mut(&id).expect("ready actor missing");
+                            let fiber = fiber.take().expect("fiber already running");
+                            Work::RunFiber(id, fiber, cell.clone(), ta)
                         }
                         // The guard above always passes when there is no
                         // event, so this arm only ever sees `Some` events.
@@ -727,7 +641,7 @@ impl Engine {
                             debug_assert!(key.time >= core.now, "event in the past: {key:?}");
                             core.now = key.time;
                             match slot {
-                                Slot::Call(a) => break Work::Event(a),
+                                Slot::Call(a) => Work::Event(a),
                                 Slot::FlowDone(id) => {
                                     let now = core.now;
                                     core.settle_flows(now);
@@ -741,9 +655,9 @@ impl Engine {
                                     core.total_queue_delay_secs += delay;
                                     core.max_queue_delay_secs =
                                         core.max_queue_delay_secs.max(delay);
-                                    let cb =
-                                        meta.on_complete.take().expect("flow callback missing");
-                                    break Work::Event(cb);
+                                    Work::Event(
+                                        meta.on_complete.take().expect("flow callback missing"),
+                                    )
                                 }
                             }
                         }
@@ -753,18 +667,13 @@ impl Engine {
             match work {
                 Work::Return => return,
                 Work::Event(a) => a(self),
-                Work::ReleaseThread(cell, t) => {
-                    // Hand the turn to the thread; the next scheduler
-                    // iteration waits until it parks or finishes.
-                    cell.deposit(t);
-                }
                 Work::RunFiber(id, mut fiber, cell, t) => {
                     cell.deposit(t);
                     fiber.resume();
                     // The fiber parked (put it back) or finished (its
                     // `actor_finished` removed the map entry; drop it).
                     let mut core = self.core.lock();
-                    if let Some(ActorSlot::Fiber(slot, _)) = core.actors.get_mut(&id) {
+                    if let Some((slot, _)) = core.actors.get_mut(&id) {
                         debug_assert!(slot.is_none());
                         *slot = Some(fiber);
                     } else {
@@ -773,10 +682,7 @@ impl Engine {
                 }
                 Work::Deadlock(cells, fibers) => {
                     for cell in cells {
-                        let mut st = cell.state.lock();
-                        st.deadlock = true;
-                        drop(st);
-                        cell.cv.notify_all();
+                        cell.state.lock().deadlock = true;
                     }
                     // Resume each suspended fiber once: its `park` sees the
                     // deadlock flag and panics, unwinding the fiber stack
@@ -804,12 +710,8 @@ impl Engine {
         let mut held = Vec::new();
         {
             let mut core = self.core.lock();
-            for slot in core.actors.values_mut() {
-                if let ActorSlot::Fiber(f, _) = slot {
-                    if let Some(f) = f.take() {
-                        held.push(f);
-                    }
-                }
+            for (fiber, _) in core.actors.values_mut() {
+                held.extend(fiber.take());
             }
         }
         drop(held);
@@ -867,25 +769,27 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::thread;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    /// Drive a single-actor simulation: the actor body gets (engine, its
-    /// registered cell) after the scheduler releases it.
+    /// Drive a single-actor simulation: the actor body, a fiber, gets
+    /// (engine, its registered cell) after the scheduler releases it.
     fn run_one_actor<F>(engine: Arc<Engine>, body: F)
     where
         F: FnOnce(&Engine, &Arc<ParkCell>) + Send + 'static,
     {
         let cell = Arc::new(ParkCell::new());
-        engine.register_actor(0, cell.clone());
         let eng2 = engine.clone();
-        let t = thread::spawn(move || {
-            eng2.await_release(&cell);
-            body(&eng2, &cell);
-            eng2.actor_finished(0);
-        });
+        let cell2 = cell.clone();
+        let fiber = Fiber::new(
+            128 * 1024,
+            Box::new(move || {
+                eng2.await_release(&cell2);
+                body(&eng2, &cell2);
+                eng2.actor_finished(0);
+            }),
+        );
+        engine.register_fiber_at(0, fiber, cell, SimTime::ZERO);
         engine.run_loop();
-        t.join().unwrap();
     }
 
     #[test]
@@ -1029,22 +933,42 @@ mod tests {
     #[test]
     fn deadlock_is_detected_and_panics_parked_actor() {
         let engine = Arc::new(Engine::new());
-        let cell = Arc::new(ParkCell::new());
-        engine.register_actor(0, cell.clone());
-        let eng2 = engine.clone();
-        let t = thread::spawn(move || {
-            eng2.await_release(&cell);
+        let panicked = Arc::new(AtomicBool::new(false));
+        let panicked2 = panicked.clone();
+        run_one_actor(engine.clone(), move |eng, cell| {
             // Park with nothing scheduled: guaranteed deadlock.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                eng2.park(&cell);
+                eng.park(cell);
             }));
-            eng2.actor_finished(0);
-            assert!(result.is_err(), "park should panic on deadlock");
+            panicked2.store(result.is_err(), Ordering::SeqCst);
         });
-        engine.run_loop();
-        t.join().unwrap();
+        assert!(
+            panicked.load(Ordering::SeqCst),
+            "park should panic on deadlock"
+        );
         assert!(engine.deadlocked());
         assert_eq!(engine.deadlocked_actors(), vec![0]);
+    }
+
+    #[test]
+    fn park_and_await_release_outside_a_fiber_panic_instead_of_hanging() {
+        let engine = Engine::new();
+        let cell = Arc::new(ParkCell::new());
+        let fiber = Fiber::new(128 * 1024, Box::new(|| {}));
+        engine.register_fiber_at(0, fiber, cell.clone(), SimTime::ZERO);
+        let message = |r: std::thread::Result<SimTime>| -> String {
+            let p = r.expect_err("call outside a fiber should panic");
+            p.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        };
+        let parked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.park(&cell)));
+        let released =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.await_release(&cell)));
+        for msg in [message(parked), message(released)] {
+            assert!(msg.contains("outside a fiber"), "unexpected panic: {msg}");
+        }
     }
 
     #[test]
@@ -1148,74 +1072,6 @@ mod tests {
         assert!(engine.deadlocked());
         assert_eq!(unwound.load(Ordering::SeqCst), 4);
         assert_eq!(engine.deadlocked_actors().len(), 4);
-    }
-
-    #[test]
-    fn mixed_thread_and_fiber_actors_interleave_by_time_and_id() {
-        // One thread actor (id 0) and two fiber actors (ids 1, 2), all
-        // sleeping to the same instants: release order must be id order.
-        let engine = Arc::new(Engine::new());
-        let order = Arc::new(Mutex::new(Vec::<u32>::new()));
-
-        let tcell = Arc::new(ParkCell::new());
-        engine.register_actor(0, tcell.clone());
-        let eng_t = engine.clone();
-        let order_t = order.clone();
-        let th = thread::spawn(move || {
-            eng_t.await_release(&tcell);
-            let seq = AtomicU64::new(0);
-            for round in 0..3u64 {
-                let at = (round + 1) * 1_000;
-                let c2 = tcell.clone();
-                eng_t.schedule(
-                    EventKey {
-                        time: SimTime(at),
-                        class: 1,
-                        origin: 0,
-                        seq: seq.fetch_add(1, Ordering::Relaxed),
-                    },
-                    Box::new(move |e| e.wake(&c2, SimTime(at))),
-                );
-                eng_t.park(&tcell);
-                order_t.lock().push(0);
-            }
-            eng_t.actor_finished(0);
-        });
-
-        for i in 1u32..3 {
-            let cell = Arc::new(ParkCell::new());
-            let eng2 = engine.clone();
-            let cell2 = cell.clone();
-            let order2 = order.clone();
-            let fiber = Fiber::new(
-                128 * 1024,
-                Box::new(move || {
-                    eng2.await_release(&cell2);
-                    let seq = AtomicU64::new(0);
-                    for round in 0..3u64 {
-                        let at = (round + 1) * 1_000;
-                        let c2 = cell2.clone();
-                        eng2.schedule(
-                            EventKey {
-                                time: SimTime(at),
-                                class: 1,
-                                origin: i,
-                                seq: seq.fetch_add(1, Ordering::Relaxed),
-                            },
-                            Box::new(move |e| e.wake(&c2, SimTime(at))),
-                        );
-                        eng2.park(&cell2);
-                        order2.lock().push(i);
-                    }
-                    eng2.actor_finished(i);
-                }),
-            );
-            engine.register_fiber_at(i, fiber, cell, SimTime::ZERO);
-        }
-
-        engine.run_loop();
-        th.join().unwrap();
-        assert_eq!(*order.lock(), vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
     }
 
     #[test]

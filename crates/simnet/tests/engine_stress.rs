@@ -1,43 +1,49 @@
-//! Engine stress tests: many actors, interleaved timers and flows,
-//! determinism of the event order under host-scheduling noise.
+//! Engine stress tests: many fiber actors, interleaved timers and flows,
+//! determinism of the event order across runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 
 use parking_lot::Mutex;
 
-use ovcomm_simnet::{Engine, EventKey, ParkCell, SimTime};
+use ovcomm_simnet::{Engine, EventKey, Fiber, ParkCell, SimTime};
 
-/// Spawn `n` actors whose bodies run on threads; the engine loop runs on
-/// this thread. Returns per-actor final wake times.
+const STACK: usize = 128 * 1024;
+
+/// Register a fiber actor `id` (ready at time zero) that runs `body` after
+/// its first release and then retires.
+fn spawn_actor<F>(engine: &Arc<Engine>, id: u32, body: F)
+where
+    F: FnOnce(&Engine, &Arc<ParkCell>) + Send + 'static,
+{
+    let cell = Arc::new(ParkCell::new());
+    let engine2 = engine.clone();
+    let cell2 = cell.clone();
+    let fiber = Fiber::new(STACK, move || {
+        engine2.await_release(&cell2);
+        body(&engine2, &cell2);
+        engine2.actor_finished(id);
+    });
+    engine.register_fiber_at(id, fiber, cell, SimTime::ZERO);
+}
+
+/// Run `n` fiber actors under the scheduler on this thread. Returns
+/// per-actor final wake times.
 fn run_actors<F>(n: usize, body: F) -> Vec<u64>
 where
     F: Fn(usize, &Engine, &Arc<ParkCell>) -> u64 + Send + Sync + 'static,
 {
     let engine = Arc::new(Engine::new());
     let body = Arc::new(body);
-    let cells: Vec<Arc<ParkCell>> = (0..n).map(|_| Arc::new(ParkCell::new())).collect();
-    for (i, cell) in cells.iter().enumerate() {
-        engine.register_actor(i as u32, cell.clone());
-    }
     let results = Arc::new(Mutex::new(vec![0u64; n]));
-    let mut handles = Vec::new();
-    for (i, cell) in cells.into_iter().enumerate() {
-        let engine2 = engine.clone();
+    for i in 0..n {
         let body2 = body.clone();
         let results2 = results.clone();
-        handles.push(thread::spawn(move || {
-            engine2.await_release(&cell);
-            let out = body2(i, &engine2, &cell);
-            results2.lock()[i] = out;
-            engine2.actor_finished(i as u32);
-        }));
+        spawn_actor(&engine, i as u32, move |engine, cell| {
+            results2.lock()[i] = body2(i, engine, cell);
+        });
     }
     engine.run_loop();
-    for h in handles {
-        h.join().unwrap();
-    }
     Arc::try_unwrap(results).unwrap().into_inner()
 }
 
@@ -89,12 +95,8 @@ fn flows_and_timers_interleave_correctly() {
     let engine = Arc::new(Engine::new());
     let nic = engine.add_resource(1e9);
     let completions = Arc::new(Mutex::new(Vec::<u64>::new()));
-    let cell = Arc::new(ParkCell::new());
-    engine.register_actor(0, cell.clone());
-    let engine2 = engine.clone();
     let completions2 = completions.clone();
-    let t = thread::spawn(move || {
-        engine2.await_release(&cell);
+    spawn_actor(&engine, 0, move |engine2, cell| {
         let seq = AtomicU64::new(0);
         // Start flow A (2 MB) at t=0 via an event.
         let c2 = completions2.clone();
@@ -150,11 +152,9 @@ fn flows_and_timers_interleave_correctly() {
             },
             Box::new(move |e| e.wake(&cellw, SimTime(wake))),
         );
-        engine2.park(&cell);
-        engine2.actor_finished(0);
+        engine2.park(cell);
     });
     engine.run_loop();
-    t.join().unwrap();
     let times = completions.lock().clone();
     assert_eq!(times.len(), 2);
     // From t=1ms both flows share 1 GB/s: each has 1 MB left → both finish
@@ -171,11 +171,7 @@ fn flows_and_timers_interleave_correctly() {
 fn trace_spans_accumulate_across_actors() {
     let engine = Arc::new(Engine::new());
     engine.enable_trace();
-    let cell = Arc::new(ParkCell::new());
-    engine.register_actor(0, cell.clone());
-    let engine2 = engine.clone();
-    let t = thread::spawn(move || {
-        engine2.await_release(&cell);
+    spawn_actor(&engine, 0, |engine2, _| {
         for i in 0..5 {
             engine2.record_span(ovcomm_simnet::TraceSpan {
                 actor: i,
@@ -186,10 +182,8 @@ fn trace_spans_accumulate_across_actors() {
                 end: SimTime(i as u64 * 100 + 50),
             });
         }
-        engine2.actor_finished(0);
     });
     engine.run_loop();
-    t.join().unwrap();
     let trace = engine.take_trace().expect("trace enabled");
     assert_eq!(trace.spans().len(), 5);
     assert_eq!(trace.for_actor(3).count(), 1);
